@@ -63,7 +63,7 @@ overload-chaos:
 
 # Shard-kill chaos gate for the fleet tier: the whole internal/fleet
 # suite under the race detector first — placement, allocator
-# conservation/certificates, router failover, the in-process kill-and-
+# conservation/certificates, router dispatch, the in-process kill-and-
 # restart drill (TestShardKillChaos) — then the race-built live loop:
 # loadgen driven past the knee through the router while a shard is
 # hard-killed and restarted mid-ramp and a survivor's state disk fails

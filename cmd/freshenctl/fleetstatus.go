@@ -49,7 +49,7 @@ func cmdFleetStatus(out io.Writer, args []string) error {
 		st.Perceived, st.Reallocations, st.AllocFailures, ok)
 
 	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "SHARD\tHEALTHY\tOBJECTS\tSLICE\tWEIGHT\tMODE\tPF\tACCESSES\tKILLS\tURL")
+	fmt.Fprintln(w, "SHARD\tHEALTHY\tOBJECTS\tSLICE\tWEIGHT\tMODE\tPF\tACCESSES\tKILLS")
 	for _, sh := range st.ShardStatus {
 		mode, pf, accesses := "-", "-", "-"
 		if sh.Status != nil {
@@ -57,8 +57,8 @@ func cmdFleetStatus(out io.Writer, args []string) error {
 			pf = fmt.Sprintf("%.6f", sh.Status.PlannedPF)
 			accesses = fmt.Sprintf("%d", sh.Status.Accesses)
 		}
-		fmt.Fprintf(w, "%d\t%v\t%d\t%.4g\t%.3f\t%s\t%s\t%s\t%d\t%s\n",
-			sh.Shard, sh.Healthy, sh.Objects, sh.Slice, sh.Weight, mode, pf, accesses, sh.Kills, sh.URL)
+		fmt.Fprintf(w, "%d\t%v\t%d\t%.4g\t%.3f\t%s\t%s\t%s\t%d\n",
+			sh.Shard, sh.Healthy, sh.Objects, sh.Slice, sh.Weight, mode, pf, accesses, sh.Kills)
 	}
 	return w.Flush()
 }

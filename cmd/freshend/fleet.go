@@ -1,13 +1,15 @@
 // Fleet mode: with -shards=K (K > 1) freshend runs the sharded
 // multi-mirror tier instead of a single mirror. The catalog is
 // partitioned across K fault-isolated shards — each an independent
-// mirror with its own solver, estimator, persist directory
-// (<state-dir>/shard-i), and loopback listener — a supervisor
+// mirror with its own solver, estimator and persist directory
+// (<state-dir>/shard-i), all in this process — a supervisor
 // water-fills the global -bandwidth across healthy shards and
 // re-levels it within one period of a shard dying or recovering, and
 // a router on -addr fronts the fleet: placement-based object routing
-// with failover, aggregated /status and /metrics, and 503 + jittered
-// Retry-After for a dead shard's keyspace (see DESIGN.md §14).
+// straight into the owning shard's handler, 503 + jittered
+// Retry-After for a dead shard's keyspace, a fleet-wide /status, the
+// fleet-level /metrics, and each shard's own metrics, status and
+// probes under /shard/{i}/ (see DESIGN.md §14).
 package main
 
 import (
@@ -80,8 +82,8 @@ func runFleet(ctx context.Context, cfg config, ready chan<- net.Addr) error {
 
 	// The router registry carries the fleet-level series plus the
 	// process-global solver series (the pooled allocator's solves and
-	// every shard's land there); per-shard series live on each shard's
-	// own loopback listener.
+	// every shard's land there); per-shard series live in each shard's
+	// own registry, served by the router as /shard/{i}/metrics.
 	reg := obs.NewRegistry()
 	solver.Instrument(reg)
 
@@ -183,14 +185,13 @@ func runFleet(ctx context.Context, cfg config, ready chan<- net.Addr) error {
 			Seed:              cfg.seed,
 			SnapshotEvery:     cfg.snapshotEvery,
 		},
-		Period:      cfg.period,
-		StateDir:    cfg.stateDir,
-		WrapStore:   wrapStore,
-		AllocEvery:  cfg.allocEvery,
-		HealthEvery: cfg.healthEvery,
-		ChaosAdmin:  cfg.fleetChaos,
-		Metrics:     reg,
-		Logger:      logger,
+		Period:     cfg.period,
+		StateDir:   cfg.stateDir,
+		WrapStore:  wrapStore,
+		AllocEvery: cfg.allocEvery,
+		ChaosAdmin: cfg.fleetChaos,
+		Metrics:    reg,
+		Logger:     logger,
 	})
 	if err != nil {
 		return err

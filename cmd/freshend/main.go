@@ -116,7 +116,6 @@ func parseFlags(args []string) (config, error) {
 	shards := fs.Int("shards", 1, "shard count; above 1 the daemon runs the sharded fleet tier behind a router on -addr")
 	placement := fs.String("placement", "hash", "fleet object placement: hash (consistent hashing) | partition (paper's partitioner over prior parameters)")
 	allocEvery := fs.Duration("alloc-every", 0, "fleet budget re-leveling cadence (0 means one period)")
-	healthEvery := fs.Duration("health-every", 0, "fleet shard health-probe cadence (0 means a quarter period)")
 	fleetChaos := fs.Bool("fleet-chaos", false, "chaos testing: mount POST /fleet/kill and /fleet/restart on the router")
 	persistFaultShard := fs.Int("persist-fault-shard", 0, "chaos testing: which shard the persist-fault flags apply to in fleet mode")
 	debugAddr := fs.String("debug-addr", "", "optional second listen address serving /metrics and /debug/pprof/; empty disables it")
@@ -152,7 +151,6 @@ func parseFlags(args []string) (config, error) {
 		shards:            *shards,
 		placement:         *placement,
 		allocEvery:        *allocEvery,
-		healthEvery:       *healthEvery,
 		fleetChaos:        *fleetChaos,
 		persistFaultShard: *persistFaultShard,
 
@@ -195,7 +193,6 @@ type config struct {
 	shards            int
 	placement         string
 	allocEvery        time.Duration
-	healthEvery       time.Duration
 	fleetChaos        bool
 	persistFaultShard int
 

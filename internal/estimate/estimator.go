@@ -56,14 +56,16 @@ type Poll struct {
 // derivative of the log-likelihood is strictly decreasing in λ, so the
 // maximizer is found by bisection. Histories where every poll detected
 // a change have no finite maximizer; as with ChoGM, a half-count
-// correction is applied by capping the estimate using the shortest
-// interval.
+// correction is applied by capping the estimate at the mean poll
+// spacing — the same bound the online estimators apply during an
+// all-changed streak.
 func MLE(history []Poll) (float64, error) {
 	if len(history) == 0 {
 		return 0, fmt.Errorf("estimate: empty poll history")
 	}
 	allChanged := true
 	shortest := math.Inf(1)
+	var total float64
 	for i, p := range history {
 		if !(p.Elapsed > 0) || math.IsInf(p.Elapsed, 0) {
 			return 0, fmt.Errorf("estimate: poll %d has invalid elapsed time %v", i, p.Elapsed)
@@ -74,6 +76,7 @@ func MLE(history []Poll) (float64, error) {
 		if p.Elapsed < shortest {
 			shortest = p.Elapsed
 		}
+		total += p.Elapsed
 	}
 	// Score function: dL/dλ = Σ_changed I·e^(−λI)/(1−e^(−λI)) − Σ_unchanged I.
 	score := func(lambda float64) float64 {
@@ -91,10 +94,12 @@ func MLE(history []Poll) (float64, error) {
 	}
 	if allChanged {
 		// The likelihood increases without bound; return the ChoGM-style
-		// capped estimate for the shortest interval, the tightest bound
-		// the data supports.
+		// capped estimate at the mean spacing. The shortest interval
+		// would let one short poll that happened to see a change push
+		// the estimate so high that the planner writes the element off,
+		// stops polling it, and the estimate never corrects.
 		n := len(history)
-		return ChoGM(n, n, shortest)
+		return ChoGM(n, n, total/float64(n))
 	}
 	// Bracket: score(0+) = +Inf when any change observed; if no change
 	// was ever observed the score is negative everywhere and λ̂ = 0.

@@ -150,6 +150,29 @@ func TestMLEEdgeCases(t *testing.T) {
 	}
 }
 
+// TestMLEAllChangedCapUsesMeanSpacing pins the all-changed cap at the
+// mean poll spacing. The history is one a live mirror recorded for its
+// hottest object (true rate ≈ 1): a long poll and a short one, both
+// changed. Capping at the shortest interval gave λ̂ ≈ 7.3, the planner
+// stopped polling the object, and the estimate never corrected.
+func TestMLEAllChangedCapUsesMeanSpacing(t *testing.T) {
+	history := []Poll{{Elapsed: 3.79, Changed: true}, {Elapsed: 0.22, Changed: true}}
+	got, err := MLE(history)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ChoGM(2, 2, (3.79+0.22)/2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(got-want) > 1e-12 {
+		t.Errorf("all-changed MLE = %v, want the mean-spacing cap %v", got, want)
+	}
+	if got > 1 {
+		t.Errorf("all-changed MLE = %v: two polls of a rate-1 object must not read as a runaway rate", got)
+	}
+}
+
 func TestTracker(t *testing.T) {
 	tr, err := NewTracker(3)
 	if err != nil {

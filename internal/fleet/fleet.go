@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
-	"net/http"
 	"path/filepath"
 	"sync"
 	"time"
@@ -16,8 +15,7 @@ import (
 )
 
 // Config describes a fleet: K shards over one global source, a global
-// budget, and the cadences of the two supervisor loops (health
-// checking and budget leveling).
+// budget, and the budget-leveling cadence.
 type Config struct {
 	// Shards is K, the shard count.
 	Shards int
@@ -52,24 +50,14 @@ type Config struct {
 	// so a dead shard's slice reaches the survivors within one period
 	// regardless of cadence.
 	AllocEvery time.Duration
-	// HealthEvery is the /readyz probe cadence; 0 means Period/4.
-	HealthEvery time.Duration
-	// HealthTimeout bounds one probe; 0 means HealthEvery.
-	HealthTimeout time.Duration
-	// HealthFailures is how many consecutive probe failures mark a
-	// shard unhealthy; 0 means 2.
-	HealthFailures int
-	// ProxyTimeout is the router's per-request deadline against a
-	// shard; 0 means 5s.
-	ProxyTimeout time.Duration
 	// CertifyTol is the KKT certification tolerance; 0 means 1e-6.
 	CertifyTol float64
 	// ChaosAdmin mounts POST /fleet/kill and /fleet/restart on the
 	// router — hard shard kills over HTTP, for chaos drills only.
 	ChaosAdmin bool
 	// Metrics, when non-nil, carries the fleet-level series (shard
-	// health, slices, router traffic). Per-shard series live on each
-	// shard's own listener.
+	// health, slices, router traffic). Per-shard series live in each
+	// shard's own registry, served as /shard/{i}/metrics.
 	Metrics *obs.Registry
 	// Logger receives fleet events; nil discards them.
 	Logger *slog.Logger
@@ -78,21 +66,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.AllocEvery <= 0 {
 		c.AllocEvery = c.Period
-	}
-	if c.HealthEvery <= 0 {
-		c.HealthEvery = c.Period / 4
-	}
-	if c.HealthEvery <= 0 {
-		c.HealthEvery = time.Second
-	}
-	if c.HealthTimeout <= 0 {
-		c.HealthTimeout = c.HealthEvery
-	}
-	if c.HealthFailures <= 0 {
-		c.HealthFailures = 2
-	}
-	if c.ProxyTimeout <= 0 {
-		c.ProxyTimeout = 5 * time.Second
 	}
 	if c.CertifyTol <= 0 {
 		c.CertifyTol = 1e-6
@@ -121,19 +94,16 @@ type Fleet struct {
 	cfg    Config
 	place  *Placement
 	shards []*Shard
-	proxy  *http.Client
 	log    *slog.Logger
 	m      *fleetMetrics
 
 	mu        sync.Mutex
 	healthy   []bool
-	fails     []int
 	alloc     Allocation
 	allocErr  error
 	reallocs  int
 	certFails int
 	history   []AllocationRecord
-	kick      chan struct{} // buffered; signals an immediate re-level
 
 	// Windowed traffic accounting for the allocator: the mirror each
 	// shard's last access reading came from (counters reset when a
@@ -185,14 +155,8 @@ func New(ctx context.Context, cfg Config) (*Fleet, error) {
 		place:      place,
 		log:        obs.Component(cfg.Logger, "fleet"),
 		healthy:    make([]bool, cfg.Shards),
-		fails:      make([]int, cfg.Shards),
-		kick:       make(chan struct{}, 1),
 		lastMirror: make([]*httpmirror.Mirror, cfg.Shards),
 		lastAcc:    make([]int, cfg.Shards),
-		proxy: &http.Client{Transport: &http.Transport{
-			MaxIdleConns:        256,
-			MaxIdleConnsPerHost: 64,
-		}},
 	}
 	f.m = instrumentFleet(f, cfg.Metrics)
 
@@ -261,13 +225,13 @@ func (f *Fleet) closeShards() {
 	}
 }
 
-// Run drives the supervisor until ctx is done: /readyz probes on the
-// health cadence, budget leveling on the allocation cadence, and an
+// Run drives the supervisor until ctx is done: health checks every
+// quarter period, budget leveling on the allocation cadence, and an
 // immediate leveling whenever the healthy set changes — that is what
 // moves a dead shard's slice to the survivors within one period, and
 // hands it back on recovery.
 func (f *Fleet) Run(ctx context.Context) error {
-	health := time.NewTicker(f.cfg.HealthEvery)
+	health := time.NewTicker(max(f.cfg.Period/4, time.Nanosecond))
 	defer health.Stop()
 	alloc := time.NewTicker(f.cfg.AllocEvery)
 	defer alloc.Stop()
@@ -276,70 +240,36 @@ func (f *Fleet) Run(ctx context.Context) error {
 		case <-ctx.Done():
 			return nil
 		case <-health.C:
-			if f.checkHealth(ctx) {
+			if f.checkHealth() {
 				f.reallocate("health change")
 			}
 		case <-alloc.C:
 			f.reallocate("cadence")
-		case <-f.kick:
-			if f.checkHealth(ctx) {
-				f.reallocate("router fault")
-			}
 		}
 	}
 }
 
-// checkHealth probes every shard's /readyz and reports whether the
-// healthy set changed. A dead process fails instantly (Running() is
-// false); a live one must answer 200 within HealthTimeout. Unhealthy
-// needs HealthFailures consecutive misses so one slow probe does not
-// trigger a fleet-wide re-level; recovery is immediate on the first
-// 200 — a restarted shard gets its budget back as fast as possible.
-func (f *Fleet) checkHealth(ctx context.Context) (changed bool) {
+// checkHealth re-reads every shard's health predicate (Shard.ready:
+// running and ready, what its /readyz answers) and reports whether
+// the healthy set changed. Recovery counts on the first check that
+// sees a restarted shard ready, so it gets its budget back as fast as
+// possible.
+func (f *Fleet) checkHealth() (changed bool) {
 	for i, sh := range f.shards {
-		ok := sh.Running() && f.probe(ctx, sh.URL())
+		ok := sh.ready()
 		f.mu.Lock()
-		if ok {
-			f.fails[i] = 0
-			if !f.healthy[i] {
-				f.healthy[i] = true
-				changed = true
+		if ok != f.healthy[i] {
+			f.healthy[i] = ok
+			changed = true
+			if ok {
 				f.log.Info("shard recovered", "shard", i)
-			}
-		} else {
-			f.fails[i]++
-			// A dead process cannot come back without Restart; skip
-			// the grace window and fail it now so its keyspace 503s
-			// honestly instead of timing out HealthFailures more times.
-			if f.healthy[i] && (f.fails[i] >= f.cfg.HealthFailures || !sh.Running()) {
-				f.healthy[i] = false
-				changed = true
-				f.log.Warn("shard unhealthy", "shard", i, "consecutive_failures", f.fails[i])
+			} else {
+				f.log.Warn("shard unhealthy", "shard", i, "running", sh.Running())
 			}
 		}
 		f.mu.Unlock()
 	}
 	return changed
-}
-
-// probe is one /readyz round-trip.
-func (f *Fleet) probe(ctx context.Context, url string) bool {
-	if url == "" {
-		return false
-	}
-	ctx, cancel := context.WithTimeout(ctx, f.cfg.HealthTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/readyz", nil)
-	if err != nil {
-		return false
-	}
-	req.Header.Set("Accept", "text/plain")
-	resp, err := f.proxy.Do(req)
-	if err != nil {
-		return false
-	}
-	resp.Body.Close()
-	return resp.StatusCode == http.StatusOK
 }
 
 // reallocate re-levels the global budget across the currently healthy
@@ -417,18 +347,9 @@ func (f *Fleet) trafficWindow(mirrors []*httpmirror.Mirror) []float64 {
 	return traffic
 }
 
-// kickRealloc requests an immediate health check + re-level from Run
-// without blocking the caller (the router's failover path).
-func (f *Fleet) kickRealloc() {
-	select {
-	case f.kick <- struct{}{}:
-	default:
-	}
-}
-
-// Kill hard-kills shard i (crash semantics; see Shard.Kill) and marks
-// it unhealthy immediately so the next supervisor pass redistributes
-// its slice without waiting out the probe grace window.
+// Kill hard-kills shard i (crash semantics; see Shard.Kill), marks it
+// unhealthy and re-levels at once, so its slice reaches the survivors
+// without waiting for the next health check.
 func (f *Fleet) Kill(i int) error {
 	if i < 0 || i >= len(f.shards) {
 		return fmt.Errorf("fleet: no shard %d", i)
@@ -437,7 +358,6 @@ func (f *Fleet) Kill(i int) error {
 	f.mu.Lock()
 	changed := f.healthy[i]
 	f.healthy[i] = false
-	f.fails[i] = f.cfg.HealthFailures
 	f.mu.Unlock()
 	if changed {
 		f.reallocate("kill")
@@ -446,7 +366,8 @@ func (f *Fleet) Kill(i int) error {
 }
 
 // Restart boots a killed shard again; it recovers from its persist
-// directory and rejoins the healthy set on its first 200 /readyz.
+// directory and rejoins the healthy set at the first health check
+// that finds it ready.
 func (f *Fleet) Restart(ctx context.Context, i int) error {
 	if i < 0 || i >= len(f.shards) {
 		return fmt.Errorf("fleet: no shard %d", i)
@@ -454,8 +375,9 @@ func (f *Fleet) Restart(ctx context.Context, i int) error {
 	return f.shards[i].Start(ctx)
 }
 
-// Close stops every shard gracefully (final snapshots included).
-func (f *Fleet) Close(ctx context.Context) error {
+// Close stops every shard gracefully (final snapshots included). The
+// context is not consulted: stopping a shard does no network I/O.
+func (f *Fleet) Close(context.Context) error {
 	var firstErr error
 	var wg sync.WaitGroup
 	errs := make([]error, len(f.shards))
@@ -463,7 +385,7 @@ func (f *Fleet) Close(ctx context.Context) error {
 		wg.Add(1)
 		go func(i int, sh *Shard) {
 			defer wg.Done()
-			errs[i] = sh.Stop(ctx)
+			errs[i] = sh.Stop()
 		}(i, sh)
 	}
 	wg.Wait()
@@ -472,7 +394,6 @@ func (f *Fleet) Close(ctx context.Context) error {
 			firstErr = err
 		}
 	}
-	f.proxy.CloseIdleConnections()
 	return firstErr
 }
 

@@ -4,8 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 
@@ -15,12 +15,11 @@ import (
 )
 
 // fleetMetrics is the router-level instrumentation. Per-shard series
-// (solver, estimator, serve path) stay on each shard's own listener;
-// the fleet registry carries only what exists one level up: health,
-// slices, router traffic, failovers.
+// (solver, estimator, serve path) stay in each shard's own registry,
+// served as /shard/{i}/metrics; the fleet registry carries only what
+// exists one level up: health, slices, router traffic.
 type fleetMetrics struct {
 	requests    *obs.CounterVec
-	failovers   *obs.Counter
 	deadRejects *obs.Counter
 	reallocs    *obs.Counter
 	certFails   *obs.Counter
@@ -35,7 +34,7 @@ func instrumentFleet(f *Fleet, reg *obs.Registry) *fleetMetrics {
 		"Configured shard count.",
 		func() float64 { return float64(f.cfg.Shards) })
 	reg.GaugeFunc("fleet_healthy_shards",
-		"Shards currently passing readiness probes.",
+		"Shards currently running and ready.",
 		func() float64 { _, n := f.healthySnapshot(); return float64(n) })
 	reg.GaugeFunc("fleet_budget_total",
 		"Global refresh budget per period.",
@@ -56,8 +55,6 @@ func instrumentFleet(f *Fleet, reg *obs.Registry) *fleetMetrics {
 	m := &fleetMetrics{
 		requests: reg.CounterVec("fleet_router_requests_total",
 			"Requests the router handled, by route and status code.", "route", "code"),
-		failovers: reg.Counter("fleet_router_failovers_total",
-			"Object reads retried after a shard transport fault."),
 		deadRejects: reg.Counter("fleet_router_dead_shard_rejects_total",
 			"Object reads answered 503 because the owning shard is down."),
 		reallocs: reg.Counter("fleet_reallocations_total",
@@ -112,12 +109,6 @@ func (m *fleetMetrics) countRequest(route string, code int) {
 	m.requests.With(route, strconv.Itoa(code)).Inc()
 }
 
-func (m *fleetMetrics) countFailover() {
-	if m != nil {
-		m.failovers.Inc()
-	}
-}
-
 func (m *fleetMetrics) countDeadReject() {
 	if m != nil {
 		m.deadRejects.Inc()
@@ -146,7 +137,6 @@ type FleetStatus struct {
 // ShardStatus is one shard's row in the fleet status.
 type ShardStatus struct {
 	Shard   int                `json:"shard"`
-	URL     string             `json:"url"`
 	Healthy bool               `json:"healthy"`
 	Running bool               `json:"running"`
 	Kills   int                `json:"kills"`
@@ -177,7 +167,6 @@ func (f *Fleet) Status() FleetStatus {
 	for i, sh := range f.shards {
 		row := ShardStatus{
 			Shard:   i,
-			URL:     sh.URL(),
 			Healthy: healthy[i],
 			Running: sh.Running(),
 			Kills:   sh.Kills(),
@@ -197,13 +186,18 @@ func (f *Fleet) Status() FleetStatus {
 	return st
 }
 
-// Handler is the fleet router: the one address clients talk to.
+// Handler is the fleet router: the one address clients talk to. It
+// dispatches to the owning shard's mirror handler in-process — the
+// shard writes its own status, headers and body straight to the
+// client, so every mirror contract (X-Version, X-If-Version → 304,
+// degradation headers, overload 503s) holds through the router.
 //
-//	GET  /object/{gid}   — proxy to the owning shard (placement map);
-//	                       per-request deadline, one retry on transport
-//	                       fault, then 503 + jittered Retry-After. A
-//	                       dead shard's keyspace 503s immediately —
-//	                       never a hang, never a mis-route.
+//	GET  /object/{gid}   — the owning shard's /object/{local id}. A
+//	                       dead or unhealthy shard's keyspace answers
+//	                       503 + jittered Retry-After at once — never
+//	                       a hang, never a mis-route.
+//	GET  /shard/{i}/{metrics,status,healthz,readyz}
+//	                     — shard i's own route; 503 while it is dead.
 //	GET  /status         — fleet-wide aggregate (loadgen-compatible
 //	                       top-level mode/mode_transitions).
 //	GET  /healthz        — liveness (always 200 while the router runs).
@@ -220,6 +214,7 @@ func (f *Fleet) Handler() http.Handler {
 		}
 		f.routeObject(w, r)
 	})
+	mux.HandleFunc("GET /shard/{i}/{route}", f.routeShard)
 	mux.HandleFunc("/status", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
 			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
@@ -292,15 +287,7 @@ func (f *Fleet) chaosAdmin(action func(context.Context, int) error) http.Handler
 	}
 }
 
-// proxiedHeaders are the shard response headers the router forwards
-// verbatim: the object contract (version), the degradation contract
-// (mode, staleness), and the backpressure contract (Retry-After, with
-// the shard's own jitter).
-var proxiedHeaders = []string{
-	"X-Version", "X-Mirror-Mode", "X-Staleness-Periods", "Retry-After", "Content-Type",
-}
-
-// routeObject proxies one object read to its owning shard.
+// routeObject dispatches one object read to its owning shard.
 func (f *Fleet) routeObject(w http.ResponseWriter, r *http.Request) {
 	gid, err := strconv.Atoi(strings.TrimPrefix(r.URL.Path, "/object/"))
 	if err != nil {
@@ -314,83 +301,78 @@ func (f *Fleet) routeObject(w http.ResponseWriter, r *http.Request) {
 		f.m.countRequest("/object", http.StatusNotFound)
 		return
 	}
-	sh := f.shards[shard]
 	f.mu.Lock()
 	healthy := f.healthy[shard]
 	f.mu.Unlock()
+	var h http.Handler
+	if healthy {
+		h = f.shards[shard].serving()
+	}
 	// A dead or unhealthy owner answers now — a 503 with a jittered
-	// retry hint — not after a connect timeout. The object exists and
-	// exactly one shard may serve it, so there is nowhere to fail over
-	// to; the honest answer is "retry shortly", and the supervisor is
-	// already re-leveling the survivors' budgets.
-	if !healthy || !sh.Running() {
-		f.rejectDeadShard(w)
+	// retry hint. The object exists and exactly one shard may serve
+	// it, so there is nowhere to fail over to; the honest answer is
+	// "retry shortly", and the supervisor is already re-leveling the
+	// survivors' budgets.
+	if h == nil {
+		f.rejectDeadShard(w, "/object")
+		f.m.countDeadReject()
 		return
 	}
-
-	target := fmt.Sprintf("%s/object/%d", sh.URL(), f.place.Local(gid))
-	resp, err := f.proxyGet(r, target)
-	if err != nil {
-		// One retry: a fresh connection, same deadline. Transport
-		// faults here are either the shard dying mid-request (the
-		// retry fails fast and we 503) or a dropped idle connection
-		// (the retry succeeds).
-		f.m.countFailover()
-		resp, err = f.proxyGet(r, target)
-		if err != nil {
-			f.kickRealloc()
-			f.rejectDeadShard(w)
-			return
-		}
-	}
-	defer resp.Body.Close()
-	h := w.Header()
-	for _, k := range proxiedHeaders {
-		if vs := resp.Header[k]; len(vs) > 0 {
-			h[k] = vs
-		}
-	}
-	w.WriteHeader(resp.StatusCode)
-	io.Copy(w, resp.Body)
-	f.m.countRequest("/object", resp.StatusCode)
+	f.dispatch(w, r, h, "/object", "/object/"+strconv.Itoa(f.place.Local(gid)))
 }
 
-// proxyGet performs one shard round-trip under the router deadline.
-func (f *Fleet) proxyGet(r *http.Request, target string) (*http.Response, error) {
-	ctx, cancel := context.WithTimeout(r.Context(), f.cfg.ProxyTimeout)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, target, nil)
-	if err != nil {
-		cancel()
-		return nil, err
+// shardRoutes are the read-only shard routes the router exposes under
+// /shard/{i}/. POST /replan is deliberately absent.
+var shardRoutes = map[string]bool{"metrics": true, "status": true, "healthz": true, "readyz": true}
+
+// routeShard serves GET /shard/{i}/{route} from shard i's own handler.
+// Unlike object reads it is not gated on the supervisor's health
+// flag: a running shard that is not yet ready still answers its own
+// /readyz.
+func (f *Fleet) routeShard(w http.ResponseWriter, r *http.Request) {
+	route := r.PathValue("route")
+	i, err := strconv.Atoi(r.PathValue("i"))
+	if err != nil || i < 0 || i >= len(f.shards) || !shardRoutes[route] {
+		http.NotFound(w, r)
+		f.m.countRequest("/shard", http.StatusNotFound)
+		return
 	}
-	resp, err := f.proxy.Do(req)
-	if err != nil {
-		cancel()
-		return nil, err
+	h := f.shards[i].serving()
+	if h == nil {
+		f.rejectDeadShard(w, "/shard")
+		return
 	}
-	// The body carries the deadline until fully read; tie the cancel
-	// to body close so the caller's io.Copy stays bounded.
-	resp.Body = &cancelBody{ReadCloser: resp.Body, cancel: cancel}
-	return resp, nil
+	f.dispatch(w, r, h, "/shard", "/"+route)
 }
 
-// cancelBody releases the request's deadline context when the
-// response body is closed.
-type cancelBody struct {
-	io.ReadCloser
-	cancel context.CancelFunc
+// dispatch calls a shard handler on a shallow copy of r whose path is
+// the shard-local path (as http.StripPrefix does) and counts the
+// status the shard wrote.
+func (f *Fleet) dispatch(w http.ResponseWriter, r *http.Request, h http.Handler, route, path string) {
+	r2 := new(http.Request)
+	*r2 = *r
+	r2.URL = new(url.URL)
+	*r2.URL = *r.URL
+	r2.URL.Path, r2.URL.RawPath = path, ""
+	sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
+	h.ServeHTTP(sw, r2)
+	f.m.countRequest(route, sw.code)
 }
 
-func (b *cancelBody) Close() error {
-	err := b.ReadCloser.Close()
-	b.cancel()
-	return err
+// statusWriter records the status code a shard handler writes.
+type statusWriter struct {
+	http.ResponseWriter
+	code int
 }
 
-// rejectDeadShard answers for an unreachable owner.
-func (f *Fleet) rejectDeadShard(w http.ResponseWriter) {
+func (w *statusWriter) WriteHeader(code int) {
+	w.code = code
+	w.ResponseWriter.WriteHeader(code)
+}
+
+// rejectDeadShard answers for a shard that cannot serve.
+func (f *Fleet) rejectDeadShard(w http.ResponseWriter, route string) {
 	w.Header()["Retry-After"] = resilience.RetryAfterHeader()
 	http.Error(w, "shard unavailable", http.StatusServiceUnavailable)
-	f.m.countDeadReject()
-	f.m.countRequest("/object", http.StatusServiceUnavailable)
+	f.m.countRequest(route, http.StatusServiceUnavailable)
 }

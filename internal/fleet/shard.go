@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
-	"net"
 	"net/http"
 	"sync"
 	"time"
@@ -36,27 +35,29 @@ type ShardConfig struct {
 	WrapStore func(*persist.Store) persist.Storer
 	// Period is the wall-clock length of one period.
 	Period time.Duration
-	// Addr is the shard's listen address; "" means 127.0.0.1:0
-	// (loopback, kernel-assigned port — shards are fleet-internal).
-	Addr string
 	// Logger receives the shard's events; nil discards them.
 	Logger *slog.Logger
 }
 
 // Shard is one fault domain: its own mirror (solver, estimator,
-// breaker, limiter), its own metrics registry, its own persist store,
-// and its own HTTP listener. Kill tears all of it down abruptly —
-// simulating a crash — and Start afterwards recovers from the
-// shard's persist directory exactly like a restarted daemon.
+// breaker, limiter), its own metrics registry and its own persist
+// store. It has no listener: the router calls the mirror's handler
+// in-process. Kill tears all of it down abruptly — simulating a crash
+// — and Start afterwards recovers from the shard's persist directory
+// exactly like a restarted daemon.
 type Shard struct {
 	cfg ShardConfig
+
+	// life serializes Start, Kill and Stop. Start holds it through
+	// recovery and seeding; mu guards only the published state below,
+	// so readers never wait on a boot or a teardown.
+	life sync.Mutex
 
 	mu      sync.Mutex
 	running bool
 	mirror  *httpmirror.Mirror
+	handler http.Handler // mirror.Handler(), built once per start
 	store   *persist.Store
-	srv     *http.Server
-	url     string
 	cancel  context.CancelFunc
 	done    chan struct{}
 	kills   int
@@ -76,9 +77,6 @@ func NewShard(cfg ShardConfig) (*Shard, error) {
 	if cfg.Period <= 0 {
 		return nil, fmt.Errorf("fleet: shard %d period must be positive, got %v", cfg.Index, cfg.Period)
 	}
-	if cfg.Addr == "" {
-		cfg.Addr = "127.0.0.1:0"
-	}
 	if cfg.Logger == nil {
 		cfg.Logger = obs.Nop()
 	}
@@ -86,12 +84,12 @@ func NewShard(cfg ShardConfig) (*Shard, error) {
 }
 
 // Start boots the shard: open (and recover from) its persist
-// directory, build the mirror — seeding fetches ride ctx — and serve
-// it. Idempotent-safe: starting a running shard is an error.
+// directory, build the mirror — seeding fetches ride ctx — and start
+// its refresh loop. Starting a running shard is an error.
 func (s *Shard) Start(ctx context.Context) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.running {
+	s.life.Lock()
+	defer s.life.Unlock()
+	if s.Running() {
 		return fmt.Errorf("fleet: shard %d already running", s.cfg.Index)
 	}
 	lg := obs.Component(s.cfg.Logger, fmt.Sprintf("shard-%d", s.cfg.Index))
@@ -100,8 +98,8 @@ func (s *Shard) Start(ctx context.Context) error {
 	mcfg.Upstream = newShardSource(s.cfg.Upstream, s.cfg.Placement, s.cfg.Index)
 	mcfg.Logger = lg
 
-	// Every shard gets its own registry: per-shard series live on the
-	// shard's own /metrics, so family names never collide across the
+	// Every shard gets its own registry, served by the router as
+	// /shard/{i}/metrics, so family names never collide across the
 	// fleet and a dead shard's scrape dies with it.
 	reg := obs.NewRegistry()
 	mcfg.Metrics = reg
@@ -129,20 +127,6 @@ func (s *Shard) Start(ctx context.Context) error {
 		return fmt.Errorf("fleet: shard %d mirror: %w", s.cfg.Index, err)
 	}
 
-	ln, err := net.Listen("tcp", s.cfg.Addr)
-	if err != nil {
-		if store != nil {
-			store.Close()
-		}
-		return fmt.Errorf("fleet: shard %d listen: %w", s.cfg.Index, err)
-	}
-	srv := &http.Server{
-		Handler:      m.Handler(),
-		ReadTimeout:  10 * time.Second,
-		WriteTimeout: 30 * time.Second,
-	}
-	go srv.Serve(ln)
-
 	runCtx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
@@ -164,46 +148,54 @@ func (s *Shard) Start(ctx context.Context) error {
 		}
 	}()
 
+	s.mu.Lock()
 	s.running = true
 	s.mirror = m
+	s.handler = m.Handler()
 	s.store = store
-	s.srv = srv
-	s.url = "http://" + ln.Addr().String()
 	s.cancel = cancel
 	s.done = done
-	lg.Info("shard up", "addr", s.url, "objects", len(s.cfg.Placement.Globals(s.cfg.Index)), "budget", m.Budget())
+	s.mu.Unlock()
+	lg.Info("shard up", "objects", len(s.cfg.Placement.Globals(s.cfg.Index)), "budget", m.Budget())
 	return nil
 }
 
-// Kill hard-kills the shard: the refresh loop is cancelled, the
-// listener and every open connection close immediately, the store
-// closes without a final snapshot — whatever the last cadence
-// snapshot plus journal captured is all a restart gets, exactly like
-// a crash. Killing a dead shard is a no-op.
+// Kill hard-kills the shard: the router stops dispatching to it at
+// once, the refresh loop is cancelled, and the store closes without a
+// final snapshot — whatever the last cadence snapshot plus journal
+// captured is all a restart gets, exactly like a crash. A read the
+// router dispatched just before the kill still completes from the
+// mirror's last copies. Killing a dead shard is a no-op.
 func (s *Shard) Kill() {
+	s.life.Lock()
+	defer s.life.Unlock()
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if !s.running {
+		s.mu.Unlock()
 		return
 	}
-	s.cancel()
-	s.srv.Close()
+	store, cancel, done := s.store, s.cancel, s.done
+	s.teardownLocked()
+	s.kills++
+	s.mu.Unlock()
+	cancel()
 	// The refresh loop finishes its in-flight step before the store
 	// closes underneath it; Run's tick is Period/100, so this wait is
 	// short and keeps the teardown race-free.
-	<-s.done
-	if s.store != nil {
-		s.store.Close()
+	<-done
+	if store != nil {
+		store.Close()
 	}
-	s.teardownLocked()
-	s.kills++
 }
 
 // Stop shuts the shard down gracefully: refresh loop first, then a
-// final snapshot, then the listener, then the store.
-func (s *Shard) Stop(ctx context.Context) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// final snapshot, then the store. The shard serves until the store
+// is closed.
+func (s *Shard) Stop() error {
+	s.life.Lock()
+	defer s.life.Unlock()
+	// Only lifecycle calls write the published fields, and they all
+	// hold life, so reading them here needs no mu.
 	if !s.running {
 		return nil
 	}
@@ -213,25 +205,23 @@ func (s *Shard) Stop(ctx context.Context) error {
 	if err := s.mirror.FlushSnapshot(); err != nil {
 		firstErr = fmt.Errorf("fleet: shard %d final snapshot: %w", s.cfg.Index, err)
 	}
-	if err := s.srv.Shutdown(ctx); err != nil && firstErr == nil {
-		firstErr = fmt.Errorf("fleet: shard %d shutdown: %w", s.cfg.Index, err)
-	}
 	if s.store != nil {
 		if err := s.store.Close(); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("fleet: shard %d store close: %w", s.cfg.Index, err)
 		}
 	}
+	s.mu.Lock()
 	s.teardownLocked()
+	s.mu.Unlock()
 	return firstErr
 }
 
-// teardownLocked clears the running state. Callers hold s.mu.
+// teardownLocked clears the published state. Callers hold life and mu.
 func (s *Shard) teardownLocked() {
 	s.running = false
 	s.mirror = nil
+	s.handler = nil
 	s.store = nil
-	s.srv = nil
-	s.url = ""
 	s.cancel = nil
 	s.done = nil
 }
@@ -250,12 +240,21 @@ func (s *Shard) Mirror() *httpmirror.Mirror {
 	return s.mirror
 }
 
-// URL returns the shard's base URL ("http://host:port"), or "" while
-// dead.
-func (s *Shard) URL() string {
+// serving returns the handler the router dispatches to, or nil while
+// the shard is dead.
+func (s *Shard) serving() http.Handler {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.url
+	return s.handler
+}
+
+// ready is the shard's health predicate, the one its /readyz answers:
+// running, and recovered or snapshotted at least once. A mirror's
+// readiness only ever goes false→true, so a running shard that is
+// ready stays ready until it is killed.
+func (s *Shard) ready() bool {
+	m := s.Mirror()
+	return m != nil && m.Readiness().Ready
 }
 
 // Kills counts hard kills over the shard's lifetime.

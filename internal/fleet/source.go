@@ -17,9 +17,15 @@ type shardSource struct {
 	gids  []int
 }
 
-// newShardSource builds shard s's view of the global source.
-func newShardSource(inner httpmirror.Source, p *Placement, s int) *shardSource {
-	return &shardSource{inner: inner, gids: p.Globals(s)}
+// newShardSource builds shard s's view of the global source. The
+// view answers conditional fetches exactly when the global source
+// does, so a shard polls as cheaply as a single mirror would.
+func newShardSource(inner httpmirror.Source, p *Placement, s int) httpmirror.Source {
+	v := &shardSource{inner: inner, gids: p.Globals(s)}
+	if c, ok := inner.(httpmirror.ConditionalSource); ok {
+		return &conditionalShardSource{shardSource: v, cond: c}
+	}
+	return v
 }
 
 // Catalog lists the shard's objects under their dense local ids,
@@ -76,3 +82,19 @@ func (s *shardSource) Version(ctx context.Context, id int) (int, error) {
 // stay shard-scoped).
 func (s *shardSource) Retries() int64  { return s.inner.Retries() }
 func (s *shardSource) Failures() int64 { return s.inner.Failures() }
+
+// conditionalShardSource is a shard view over a ConditionalSource. It
+// adds FetchIfNewer and nothing else: in particular it never claims
+// httpmirror.UpstreamHealth.
+type conditionalShardSource struct {
+	*shardSource
+	cond httpmirror.ConditionalSource
+}
+
+func (s *conditionalShardSource) FetchIfNewer(ctx context.Context, id, have int) ([]byte, int, bool, error) {
+	gid, err := s.global(id)
+	if err != nil {
+		return nil, 0, false, err
+	}
+	return s.cond.FetchIfNewer(ctx, gid, have)
+}

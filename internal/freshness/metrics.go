@@ -1,6 +1,10 @@
 package freshness
 
-import "fmt"
+import (
+	"fmt"
+
+	"freshen/internal/parallel"
+)
 
 // errLenMismatch reports an element/frequency vector length mismatch.
 func errLenMismatch(elems, freqs int) error {
@@ -17,7 +21,7 @@ func Perceived(p Policy, elems []Element, freqs []float64) (float64, error) {
 	if len(elems) != len(freqs) {
 		return 0, errLenMismatch(len(elems), len(freqs))
 	}
-	pf := reduceShards(len(elems), func(lo, hi int) float64 {
+	pf := parallel.Sum(len(elems), func(lo, hi int) float64 {
 		var sum float64
 		for i := lo; i < hi; i++ {
 			sum += elems[i].AccessProb * p.Freshness(freqs[i], elems[i].Lambda)
@@ -37,7 +41,7 @@ func Average(p Policy, elems []Element, freqs []float64) (float64, error) {
 	if len(elems) == 0 {
 		return 0, fmt.Errorf("freshness: mirror has no elements")
 	}
-	sum := reduceShards(len(elems), func(lo, hi int) float64 {
+	sum := parallel.Sum(len(elems), func(lo, hi int) float64 {
 		var s float64
 		for i := lo; i < hi; i++ {
 			s += p.Freshness(freqs[i], elems[i].Lambda)
@@ -54,7 +58,7 @@ func BandwidthUsed(elems []Element, freqs []float64) (float64, error) {
 	if len(elems) != len(freqs) {
 		return 0, errLenMismatch(len(elems), len(freqs))
 	}
-	b := reduceShards(len(elems), func(lo, hi int) float64 {
+	b := parallel.Sum(len(elems), func(lo, hi int) float64 {
 		var sum float64
 		for i := lo; i < hi; i++ {
 			sum += elems[i].Size * freqs[i]

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"freshen/internal/freshness"
+	"freshen/internal/parallel"
 )
 
 // The engine is the shared water-filling core behind WaterFill,
@@ -42,7 +43,7 @@ import (
 
 // engineParallelThreshold is the active-element count below which a
 // solve stays on the calling goroutine.
-const engineParallelThreshold = 16384
+const engineParallelThreshold = parallel.Threshold
 
 // bracketHalvings caps the μ-bracketing fallback loops.
 const bracketHalvings = 4096
@@ -567,69 +568,4 @@ func (e *Engine) siftDown(h []int, i int) {
 		h[i], h[big] = h[big], h[i]
 		i = big
 	}
-}
-
-// --- deterministic parallel helpers for the gradient baseline ---
-
-// shardedSum evaluates fn over deterministic contiguous shards of
-// [0, n) (in parallel when n is large) and adds the shard sums in
-// shard order.
-func shardedSum(n int, fn func(lo, hi int) float64) float64 {
-	workers := runtime.GOMAXPROCS(0)
-	if n < engineParallelThreshold || workers < 2 {
-		return fn(0, n)
-	}
-	partial := make([]float64, workers)
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			partial[w] = fn(lo, hi)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	var total float64
-	for _, t := range partial {
-		total += t
-	}
-	return total
-}
-
-// parallelFor runs fn over deterministic contiguous shards of [0, n),
-// in parallel when n is large. Shards are disjoint, so fn may write to
-// per-index slots without synchronization.
-func parallelFor(n int, fn func(lo, hi int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if n < engineParallelThreshold || workers < 2 {
-		fn(0, n)
-		return
-	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }

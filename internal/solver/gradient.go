@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"freshen/internal/freshness"
+	"freshen/internal/parallel"
 )
 
 // GradientOptions tunes the projected-gradient solver.
@@ -85,7 +86,7 @@ func Gradient(p Problem, opts GradientOptions) (Solution, error) {
 		step := baseStep / math.Sqrt(float64(t+1))
 		// The marginal evaluations dominate each pass at scale; shard
 		// them the same deterministic way as the solve engine.
-		parallelFor(n, func(lo, hi int) {
+		parallel.For(n, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				e := p.Elements[i]
 				grad[i] = e.AccessProb * pol.Marginal(f[i], e.Lambda)
@@ -139,7 +140,7 @@ func (s Solution) perceived(p Problem) (float64, error) {
 // gradient ascent from a non-negative start guarantees.
 func projectBandwidth(y []float64, elems []freshness.Element, bandwidth float64, out []float64) {
 	usage := func(tau float64) float64 {
-		return shardedSum(len(elems), func(lo, hi int) float64 {
+		return parallel.Sum(len(elems), func(lo, hi int) float64 {
 			var u float64
 			for i := lo; i < hi; i++ {
 				v := y[i] - tau*elems[i].Size

@@ -2,8 +2,8 @@
 # shard_chaos.sh — shard-kill + survivor-disk-fault chaos gate for the
 # sharded fleet tier.
 #
-# Stands up the full fleet (freshend -shards=K behind its failover
-# router) with race-built binaries, drives a past-knee closed loop
+# Stands up the full fleet (freshend -shards=K behind its router) with
+# race-built binaries, drives a past-knee closed loop
 # through the router, and attacks it mid-ramp:
 #
 #  1. Shard kill: one shard is hard-killed through the chaos admin
@@ -29,6 +29,9 @@
 #     included), allocation certified, the restarted shard holds
 #     budget again, and the fleet's planned PF is back within
 #     PF_TOLERANCE of the pre-kill steady state
+#   - per-shard observability through the router: the restarted
+#     shard's /shard/i/readyz answers 200 and the disk-faulted shard's
+#     /shard/i/metrics exposes its freshen_persist_* families
 #
 # Knobs come from the environment, CI-sized defaults:
 #
@@ -218,6 +221,19 @@ done
 if [ -z "$recovered" ]; then
     echo "shard_chaos: FAIL: fleet did not recover to the pre-kill steady state; final status:" >&2
     curl -fsS "http://$ROUTER_ADDR/status" | jq . >&2 || true
+    exit 1
+fi
+
+# Per-shard routes survive the kill and the disk fault: shards have no
+# listeners of their own, so these are the router's in-process routes.
+code=$(curl -sS -o /dev/null -w '%{http_code}' "http://$ROUTER_ADDR/shard/$KILL_SHARD/readyz")
+if [ "$code" != "200" ]; then
+    echo "shard_chaos: FAIL: /shard/$KILL_SHARD/readyz answered $code after the restart, want 200" >&2
+    exit 1
+fi
+metrics=$(curl -fsS "http://$ROUTER_ADDR/shard/$DISK_SHARD/metrics")
+if ! grep -q '^freshen_persist_' <<<"$metrics"; then
+    echo "shard_chaos: FAIL: /shard/$DISK_SHARD/metrics exposes no freshen_persist_* families" >&2
     exit 1
 fi
 
