@@ -1,6 +1,7 @@
 package httpmirror
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -198,6 +199,19 @@ func (c *SourceClient) Catalog(ctx context.Context) ([]CatalogEntry, error) {
 	return entries, nil
 }
 
+// readBody reads a whole object body into a right-sized slice: the
+// copy a mirror stores lives until the next transfer, so it must not
+// pin io.ReadAll's growth buffer (512 bytes for a 25-byte body).
+// Content-Length is not trusted to size the buffer; it is outside
+// input.
+func readBody(r io.Reader) ([]byte, error) {
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	return bytes.Clone(b), nil
+}
+
 // Fetch downloads one object, returning its body and version.
 func (c *SourceClient) Fetch(ctx context.Context, id int) (body []byte, version int, err error) {
 	err = c.do(ctx, func(ctx context.Context) error {
@@ -210,7 +224,7 @@ func (c *SourceClient) Fetch(ctx context.Context, id int) (body []byte, version 
 		if err != nil {
 			return &permanentError{fmt.Errorf("bad X-Version %q", resp.Header.Get("X-Version"))}
 		}
-		b, err := io.ReadAll(resp.Body)
+		b, err := readBody(resp.Body)
 		if err != nil {
 			return err // truncated body: transient
 		}
@@ -254,7 +268,7 @@ func (c *SourceClient) FetchIfNewer(ctx context.Context, id, have int) (body []b
 			body, version, notModified = nil, v, true
 			return nil
 		}
-		b, err := io.ReadAll(resp.Body)
+		b, err := readBody(resp.Body)
 		if err != nil {
 			return err // truncated body: transient
 		}

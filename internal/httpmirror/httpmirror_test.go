@@ -282,6 +282,35 @@ func TestMirrorHandler(t *testing.T) {
 	}
 }
 
+// TestSourceClientBodyCapacity checks that a fetched body does not pin
+// io.ReadAll's growth buffer: a mirror stores the slice as the object's
+// copy until the next transfer, so every spare byte of capacity is
+// held once per object.
+func TestSourceClientBodyCapacity(t *testing.T) {
+	src, err := NewSimulatedSource([]float64{1}, nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(src.Handler())
+	defer srv.Close()
+	client := NewSourceClient(srv.URL, srv.Client())
+	ctx := context.Background()
+	body, _, err := client.Fetch(ctx, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cap(body) >= 64 {
+		t.Errorf("Fetch: %d-byte body has capacity %d, want < 64", len(body), cap(body))
+	}
+	body, _, notModified, err := client.FetchIfNewer(ctx, 0, -1)
+	if err != nil || notModified {
+		t.Fatalf("FetchIfNewer = notModified %v, err %v; want a body", notModified, err)
+	}
+	if cap(body) >= 64 {
+		t.Errorf("FetchIfNewer: %d-byte body has capacity %d, want < 64", len(body), cap(body))
+	}
+}
+
 func TestSourceClientErrors(t *testing.T) {
 	ctx := context.Background()
 	// A dead endpoint fails every call (retries exhausted quickly).

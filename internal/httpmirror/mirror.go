@@ -132,10 +132,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// copyState is one locally held object.
+// copyState is the lock-guarded bookkeeping for one locally held
+// object. Its body and version live in Mirror.views.
 type copyState struct {
-	body      []byte
-	version   int
 	fetchedAt float64
 	lastPoll  float64
 	fetches   int
@@ -151,17 +150,17 @@ type copyState struct {
 // network I/O, so Access keeps serving while a refresh rides out
 // retries or timeouts. stepMu serializes the refresh pipeline (Step,
 // ForceReplan) against itself. The read path takes neither lock: it
-// serves from the immutable snapshot behind serve and records into
-// the striped counters in acc (see serve.go and DESIGN.md §11).
+// serves the object's immutable view from views and records into the
+// striped counters in acc (see serve.go and DESIGN.md §11).
 type Mirror struct {
 	stepMu sync.Mutex
 	mu     sync.Mutex
 
-	// Lock-free serving state: the published snapshot readers load,
-	// and the access accounting they write. serve is swapped under
-	// m.mu whenever a body or version changes; acc is drained under
-	// m.mu at period boundaries.
-	serve atomic.Pointer[serveSnapshot]
+	// Lock-free serving state: one published view per object, and the
+	// access accounting readers write. A view is stored under m.mu
+	// whenever that object's body or version changes; acc is drained
+	// under m.mu at period boundaries.
+	views []atomic.Pointer[copyView]
 	acc   *accessCounters
 
 	cfg        Config
@@ -267,6 +266,7 @@ func New(ctx context.Context, cfg Config) (*Mirror, error) {
 		cfg:    cfg,
 		elems:  make([]freshness.Element, n),
 		copies: make([]copyState, n),
+		views:  make([]atomic.Pointer[copyView], n),
 		health: make([]elemHealth, n),
 		acc:    newAccessCounters(n),
 		brk: breaker{
@@ -329,10 +329,6 @@ func New(ctx context.Context, cfg Config) (*Mirror, error) {
 			Size:       entry.Size,
 		}
 	}
-	// The serving pointer is never nil: readers that somehow race New
-	// see an empty-bodied catalog, not a crash. The real snapshot is
-	// published after seeding below.
-	m.publishServingLocked()
 	var restoredPlan *persist.PlanState
 	if m.store != nil {
 		restoredPlan = m.applyRecovery(m.store.Recovery())
@@ -357,9 +353,8 @@ func New(ctx context.Context, cfg Config) (*Mirror, error) {
 		if err != nil {
 			return nil, fmt.Errorf("httpmirror: seeding copy %d: %w", i, err)
 		}
+		m.views[i].Store(&copyView{body: body, version: ver})
 		c := &m.copies[i]
-		c.body = body
-		c.version = ver
 		c.fetches++
 		m.fetches++
 		m.verified[i].Store(math.Float64bits(m.now))
@@ -370,9 +365,6 @@ func New(ctx context.Context, cfg Config) (*Mirror, error) {
 		}
 	}
 	m.clockBits.Store(math.Float64bits(m.now))
-	// Every body and version is now in place: publish the snapshot the
-	// first real reader will serve from.
-	m.publishServingLocked()
 	if m.recovered {
 		// Fold the replayed observations into the element knowledge so
 		// the first cadence replan starts from everything on disk.
@@ -680,7 +672,7 @@ func (m *Mirror) timedRefresh(id int, at float64) error {
 // one.
 func (m *Mirror) refresh(id int, at float64) error {
 	m.mu.Lock()
-	stored := m.copies[id].version
+	stored := m.views[id].Load().version
 	conditional := m.condSrc != nil && !m.condOff
 	m.mu.Unlock()
 
@@ -739,15 +731,12 @@ func (m *Mirror) refresh(id int, at float64) error {
 	c.fetches++
 	m.fetches++
 	if changed {
-		c.body = body
-		c.version = ver
+		// Commit the new body/version pair to readers: one pointer
+		// store. Readers holding the previous view finish on it.
+		m.views[id].Store(&copyView{body: body, version: ver})
 		c.fetchedAt = at
 		m.transfers++
 		m.metrics.countTransfer()
-		// Commit the new body/version pair to readers: one snapshot
-		// swap per transferring refresh. Readers holding the previous
-		// snapshot finish on the old (internally consistent) view.
-		m.publishServingLocked()
 	}
 	journaled := m.store != nil
 	m.mu.Unlock()
@@ -982,18 +971,17 @@ func (m *Mirror) Run(ctx context.Context, periodLength time.Duration) error {
 // learning. It returns the stored body and version. Unknown ids fail
 // with ErrNotFound.
 //
-// This is the hot path: one atomic snapshot load, a bounds check, and
+// This is the hot path: a bounds check, one atomic pointer load, and
 // two atomic counter increments — no locks, no allocations. It serves
 // concurrently with refresh commits, replans, and snapshot fsyncs;
-// the body/version pair always comes from one published snapshot, so
-// it is never torn.
+// the body/version pair always comes from one immutable view, so it
+// is never torn.
 func (m *Mirror) Access(id int) (body []byte, version int, err error) {
-	snap := m.serve.Load()
-	if id < 0 || id >= len(snap.views) {
+	if id < 0 || id >= len(m.views) {
 		return nil, 0, errAccessOutOfRange
 	}
 	m.acc.record(id)
-	v := &snap.views[id]
+	v := m.views[id].Load()
 	return v.body, v.version, nil
 }
 
@@ -1228,7 +1216,7 @@ func (m *Mirror) SetBudget(b float64) error {
 }
 
 // serveObject is the admitted object read: resolve the id, serve the
-// body and version from the lock-free snapshot, and — only when the
+// body and version from the lock-free view, and — only when the
 // mirror is degraded — attach the mode and staleness headers. A HEAD
 // answers headers only (the downstream change poll), and a GET whose
 // X-If-Version matches the served version answers 304 with no body

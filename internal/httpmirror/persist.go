@@ -41,7 +41,6 @@ func (m *Mirror) applyRecovery(rec persist.RecoveryResult) *persist.PlanState {
 			m.elems[i].Lambda = e.Lambda
 			m.elems[i].AccessProb = e.AccessProb
 			c := &m.copies[i]
-			c.version = e.StoredVersion
 			c.fetchedAt = e.FetchedAt
 			c.lastPoll = e.LastPoll
 			c.fetches = e.Fetches
@@ -155,7 +154,7 @@ func (m *Mirror) restoreEstimatorLocked(s *persist.Snapshot) {
 
 // replayJournalRecord re-applies one journaled refresh outcome exactly
 // as the live pipeline would have: successful polls feed the
-// estimator and version bookkeeping, failures feed the breaker and
+// estimator and poll bookkeeping, failures feed the breaker and
 // quarantine counters.
 func (m *Mirror) replayJournalRecord(r persist.Record) {
 	if r.At > m.now {
@@ -174,7 +173,6 @@ func (m *Mirror) replayJournalRecord(r persist.Record) {
 	c.fetches++
 	m.fetches++
 	if r.Changed {
-		c.version = r.Version
 		c.fetchedAt = r.At
 		m.transfers++
 	}
@@ -250,7 +248,7 @@ func (m *Mirror) exportStateLocked() *persist.Snapshot {
 			Lambda:        e.Lambda,
 			AccessProb:    e.AccessProb,
 			Size:          e.Size,
-			StoredVersion: c.version,
+			StoredVersion: m.views[i].Load().version,
 			FetchedAt:     c.fetchedAt,
 			LastPoll:      c.lastPoll,
 			Fetches:       c.fetches,

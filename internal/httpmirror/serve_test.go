@@ -370,9 +370,9 @@ func TestObjectRouteVersionHeader(t *testing.T) {
 	_, m := newTestPair(t, []float64{1}, 1)
 	// Force a large version directly; the handler must fall back to
 	// formatting it.
+	body := m.views[0].Load().body
 	m.mu.Lock()
-	m.copies[0].version = 123456
-	m.publishServingLocked()
+	m.views[0].Store(&copyView{body: body, version: 123456})
 	m.mu.Unlock()
 	h := m.Handler()
 	rec := httptest.NewRecorder()
@@ -381,13 +381,86 @@ func TestObjectRouteVersionHeader(t *testing.T) {
 		t.Errorf("X-Version = %q, want 123456", got)
 	}
 	m.mu.Lock()
-	m.copies[0].version = 7
-	m.publishServingLocked()
+	m.views[0].Store(&copyView{body: body, version: 7})
 	m.mu.Unlock()
 	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/object/0", nil))
 	if got := rec.Header().Get("X-Version"); got != "7" {
 		t.Errorf("X-Version = %q, want 7", got)
+	}
+}
+
+// simUpstream serves a SimulatedSource in-process, with the bodies its
+// HTTP handler would send, so a test can count the mirror's own
+// allocations without net/http's.
+type simUpstream struct{ src *SimulatedSource }
+
+func (s simUpstream) Catalog(context.Context) ([]CatalogEntry, error) {
+	return s.src.Catalog(), nil
+}
+
+func (s simUpstream) Fetch(_ context.Context, id int) ([]byte, int, error) {
+	v, err := s.src.Version(id)
+	if err != nil {
+		return nil, 0, err
+	}
+	return []byte(fmt.Sprintf("object %d version %d", id, v)), v, nil
+}
+
+func (s simUpstream) Version(_ context.Context, id int) (int, error) {
+	return s.src.Version(id)
+}
+
+func (simUpstream) Retries() int64  { return 0 }
+func (simUpstream) Failures() int64 { return 0 }
+
+// TestRefreshCommitCostFlat pins the write-side cost of serving: a
+// refresh that transfers a body replaces that one object's view, so
+// its allocation does not grow with the catalog. An O(N) commit that
+// copied every view would cost 16384 × 32 B = 512 KiB per transfer
+// here.
+func TestRefreshCommitCostFlat(t *testing.T) {
+	const n, batch = 16384, 128
+	lambdas := make([]float64, n)
+	for i := range lambdas {
+		lambdas[i] = 1
+	}
+	src, err := NewSimulatedSource(lambdas, nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := New(context.Background(), Config{
+		Upstream: simUpstream{src},
+		Plan:     core.Config{Bandwidth: n / 4},
+		Seed:     1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.Advance(1)
+	var stale []int
+	for id := 0; id < n && len(stale) < batch; id++ {
+		if v, _ := src.Version(id); v != 0 {
+			stale = append(stale, id)
+		}
+	}
+	before := m.Status().Transfers
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	for _, id := range stale {
+		if err := m.refresh(id, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&ms1)
+	transfers := m.Status().Transfers - before
+	if transfers != len(stale) {
+		t.Fatalf("%d of %d refreshes transferred a body", transfers, len(stale))
+	}
+	per := (ms1.TotalAlloc - ms0.TotalAlloc) / uint64(transfers)
+	t.Logf("a transferring refresh allocates %d B at N=%d", per, n)
+	if per >= 64<<10 {
+		t.Errorf("a transferring refresh allocates %d B at N=%d, want < 64 KiB", per, n)
 	}
 }
 
@@ -397,7 +470,15 @@ func TestObjectRouteVersionHeader(t *testing.T) {
 // this file alone.
 type mutexMirror struct {
 	mu       sync.Mutex
-	copies   []copyState
+	copies   []mutexCopy
+	accesses int
+}
+
+// mutexCopy is one object of the frozen baseline: body, version and
+// access count side by side under mutexMirror.mu.
+type mutexCopy struct {
+	body     []byte
+	version  int
 	accesses int
 }
 
@@ -469,7 +550,7 @@ func BenchmarkAccessParallel(b *testing.B) {
 // BenchmarkAccessMutexBaseline is the old locked read path (frozen
 // above as mutexMirror), serial.
 func BenchmarkAccessMutexBaseline(b *testing.B) {
-	m := &mutexMirror{copies: make([]copyState, 512)}
+	m := &mutexMirror{copies: make([]mutexCopy, 512)}
 	for i := range m.copies {
 		m.copies[i].body = []byte("object body")
 	}
@@ -486,7 +567,7 @@ func BenchmarkAccessMutexBaseline(b *testing.B) {
 // under the same all-cores contention as BenchmarkAccessParallel —
 // the headline number for the EXPERIMENTS.md table.
 func BenchmarkAccessMutexBaselineParallel(b *testing.B) {
-	m := &mutexMirror{copies: make([]copyState, 512)}
+	m := &mutexMirror{copies: make([]mutexCopy, 512)}
 	for i := range m.copies {
 		m.copies[i].body = []byte("object body")
 	}
@@ -504,22 +585,22 @@ func BenchmarkAccessMutexBaselineParallel(b *testing.B) {
 }
 
 // BenchmarkAccessDuringCommits measures the read path while a writer
-// continuously publishes new snapshots — reads during commit must not
-// stall.
+// continuously commits new views, as a transferring refresh does —
+// reads during commit must not stall.
 func BenchmarkAccessDuringCommits(b *testing.B) {
 	m := newBenchMirror(b, 512)
+	body := m.views[0].Load().body
 	stop := make(chan struct{})
 	defer close(stop)
 	go func() {
-		for {
+		for v := 1; ; v++ {
 			select {
 			case <-stop:
 				return
 			default:
 			}
 			m.mu.Lock()
-			m.copies[0].version++
-			m.publishServingLocked()
+			m.views[0].Store(&copyView{body: body, version: v})
 			m.mu.Unlock()
 		}
 	}()
@@ -541,7 +622,7 @@ func BenchmarkAccessDuringCommits(b *testing.B) {
 // commit work, but under the lock every reader needs — so reads stall
 // behind each commit instead of sailing past it.
 func BenchmarkAccessMutexBaselineDuringCommits(b *testing.B) {
-	m := &mutexMirror{copies: make([]copyState, 512)}
+	m := &mutexMirror{copies: make([]mutexCopy, 512)}
 	for i := range m.copies {
 		m.copies[i].body = []byte("object body")
 	}

@@ -85,7 +85,7 @@ wait_ready "http://$MOCK_ADDR/catalog"
 
 # Short periods, frequent replans, and a tight snapshot cadence keep
 # the write side busy: every stage of the ramp overlaps refresh
-# commits (serving-snapshot swaps), plan recomputes, and fsyncing
+# commits (per-object view stores), plan recomputes, and fsyncing
 # snapshots.
 "$bin/freshend" -addr "$MIRROR_ADDR" -upstream "http://$MOCK_ADDR" \
     -bandwidth "$((N / 4))" -period 2s -replan-every 2 -upstream-retries 5 \

@@ -100,7 +100,9 @@ if [ "$not_modified" -le 0 ]; then
 fi
 echo "edge_chain: healthy chain up, $not_modified conditional polls saved" >&2
 
-levels=$("$bin/freshenctl" topology-status -url "http://$EDGE_ADDR" | tee /dev/stderr | head -1)
+# sed reads the whole walk: head -1 would exit after one line and, if
+# freshenctl writes again, SIGPIPE tee and fail the pipeline.
+levels=$("$bin/freshenctl" topology-status -url "http://$EDGE_ADDR" | tee /dev/stderr | sed -n 1p)
 if [ "$levels" != "chain: 2 level(s), edge first" ]; then
     echo "edge_chain: FAIL: topology walk saw '$levels'" >&2
     exit 1
