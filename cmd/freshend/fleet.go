@@ -55,6 +55,58 @@ func planConfig(cfg config) (core.Config, error) {
 	return planCfg, nil
 }
 
+// mirrorConfig translates the per-mirror flags; shared by the
+// single-mirror and fleet paths. Callers fill in Upstream, Persist,
+// Metrics and Logger, which fleet mode sets per shard.
+func mirrorConfig(cfg config, planCfg core.Config) httpmirror.Config {
+	return httpmirror.Config{
+		Plan:        planCfg,
+		ReplanEvery: cfg.replanEvery,
+		Estimator:   cfg.estimator,
+		ExploreFrac: cfg.exploreFrac,
+		FloorLambda: cfg.floorLambda,
+		Fault: httpmirror.FaultPolicy{
+			BreakerThreshold: cfg.breakerAfter,
+			BreakerCooldown:  cfg.breakerCooldown,
+			QuarantineAfter:  cfg.quarantineAfter,
+			ProbeEvery:       cfg.probeEvery,
+		},
+		Overload: resilience.LimiterConfig{
+			MaxInflight:   cfg.maxInflight,
+			MinInflight:   cfg.minInflight,
+			TargetLatency: cfg.shedTargetLatency,
+		},
+		Degrade: resilience.ModeConfig{
+			PersistFailureThreshold: cfg.persistDegradeAfter,
+		},
+		ServeFaultLatency: cfg.serveFaultLatency,
+		Seed:              cfg.seed,
+		SnapshotEvery:     cfg.snapshotEvery,
+	}
+}
+
+// faultPlan translates the -persist-fault-* flags; shared by the
+// single-mirror and fleet paths. It returns nil when injection is off.
+func faultPlan(cfg config) (*persist.FaultPlan, error) {
+	if cfg.persistFaultAfter <= 0 {
+		return nil, nil
+	}
+	faultErr := persist.ErrDiskIO
+	switch cfg.persistFaultKind {
+	case "", "eio":
+	case "enospc":
+		faultErr = persist.ErrDiskFull
+	default:
+		return nil, fmt.Errorf("unknown persist-fault-kind %q (want eio or enospc)", cfg.persistFaultKind)
+	}
+	return &persist.FaultPlan{
+		FailFrom:   cfg.persistFaultAfter,
+		FailOps:    cfg.persistFaultOps,
+		Err:        faultErr,
+		TornAppend: cfg.persistFaultTorn,
+	}, nil
+}
+
 // runFleet is run's -shards>1 twin: same flag surface, sharded tier.
 func runFleet(ctx context.Context, cfg config, ready chan<- net.Addr) error {
 	if cfg.upstream == "" {
@@ -120,30 +172,20 @@ func runFleet(ctx context.Context, cfg config, ready chan<- net.Addr) error {
 		return fmt.Errorf("unknown placement %q (want hash or partition)", cfg.placement)
 	}
 
+	plan, err := faultPlan(cfg)
+	if err != nil {
+		return err
+	}
 	var wrapStore func(int, *persist.Store) persist.Storer
-	if cfg.persistFaultAfter > 0 {
-		faultErr := persist.ErrDiskIO
-		switch cfg.persistFaultKind {
-		case "", "eio":
-		case "enospc":
-			faultErr = persist.ErrDiskFull
-		default:
-			return fmt.Errorf("unknown persist-fault-kind %q (want eio or enospc)", cfg.persistFaultKind)
-		}
+	if plan != nil {
 		if cfg.persistFaultShard < 0 || cfg.persistFaultShard >= cfg.shards {
 			return fmt.Errorf("persist-fault-shard %d outside fleet of %d", cfg.persistFaultShard, cfg.shards)
-		}
-		plan := persist.FaultPlan{
-			FailFrom:   cfg.persistFaultAfter,
-			FailOps:    cfg.persistFaultOps,
-			Err:        faultErr,
-			TornAppend: cfg.persistFaultTorn,
 		}
 		wrapStore = func(shard int, s *persist.Store) persist.Storer {
 			if shard != cfg.persistFaultShard {
 				return s
 			}
-			return persist.NewFaultStore(s, plan)
+			return persist.NewFaultStore(s, *plan)
 		}
 		lg.Warn("disk-fault injection armed",
 			"shard", cfg.persistFaultShard,
@@ -161,30 +203,7 @@ func runFleet(ctx context.Context, cfg config, ready chan<- net.Addr) error {
 		ShardUpstream: func(int) httpmirror.Source {
 			return newClient()
 		},
-		Mirror: httpmirror.Config{
-			Plan:        planCfg,
-			ReplanEvery: cfg.replanEvery,
-			Estimator:   cfg.estimator,
-			ExploreFrac: cfg.exploreFrac,
-			FloorLambda: cfg.floorLambda,
-			Fault: httpmirror.FaultPolicy{
-				BreakerThreshold: cfg.breakerAfter,
-				BreakerCooldown:  cfg.breakerCooldown,
-				QuarantineAfter:  cfg.quarantineAfter,
-				ProbeEvery:       cfg.probeEvery,
-			},
-			Overload: resilience.LimiterConfig{
-				MaxInflight:   cfg.maxInflight,
-				MinInflight:   cfg.minInflight,
-				TargetLatency: cfg.shedTargetLatency,
-			},
-			Degrade: resilience.ModeConfig{
-				PersistFailureThreshold: cfg.persistDegradeAfter,
-			},
-			ServeFaultLatency: cfg.serveFaultLatency,
-			Seed:              cfg.seed,
-			SnapshotEvery:     cfg.snapshotEvery,
-		},
+		Mirror:     mirrorConfig(cfg, planCfg),
 		Period:     cfg.period,
 		StateDir:   cfg.stateDir,
 		WrapStore:  wrapStore,

@@ -61,7 +61,6 @@ import (
 	"freshen/internal/httpmirror"
 	"freshen/internal/obs"
 	"freshen/internal/persist"
-	"freshen/internal/resilience"
 	"freshen/internal/solver"
 )
 
@@ -263,10 +262,13 @@ func run(ctx context.Context, cfg config, ready chan<- net.Addr) error {
 
 	// storer stays a nil interface when persistence is off: assigning a
 	// nil *persist.Store directly would make Config.Persist non-nil.
+	plan, err := faultPlan(cfg)
+	if err != nil {
+		return err
+	}
 	var store *persist.Store
 	var storer persist.Storer
 	if cfg.stateDir != "" {
-		var err error
 		store, err = persist.Open(cfg.stateDir)
 		if err != nil {
 			return fmt.Errorf("opening state dir: %w", err)
@@ -281,21 +283,8 @@ func run(ctx context.Context, cfg config, ready chan<- net.Addr) error {
 			lg.Warn("snapshot discarded", "error", rec.SnapshotErr)
 		}
 		storer = store
-		if cfg.persistFaultAfter > 0 {
-			faultErr := persist.ErrDiskIO
-			switch cfg.persistFaultKind {
-			case "", "eio":
-			case "enospc":
-				faultErr = persist.ErrDiskFull
-			default:
-				return fmt.Errorf("unknown persist-fault-kind %q (want eio or enospc)", cfg.persistFaultKind)
-			}
-			storer = persist.NewFaultStore(store, persist.FaultPlan{
-				FailFrom:   cfg.persistFaultAfter,
-				FailOps:    cfg.persistFaultOps,
-				Err:        faultErr,
-				TornAppend: cfg.persistFaultTorn,
-			})
+		if plan != nil {
+			storer = persist.NewFaultStore(store, *plan)
 			lg.Warn("disk-fault injection armed",
 				"from_op", cfg.persistFaultAfter,
 				"ops", cfg.persistFaultOps,
@@ -327,34 +316,9 @@ func run(ctx context.Context, cfg config, ready chan<- net.Addr) error {
 		client.SetRetryPolicy(retry)
 		upstream = client
 	}
-	m, err := httpmirror.New(ctx, httpmirror.Config{
-		Upstream:    upstream,
-		Plan:        planCfg,
-		ReplanEvery: cfg.replanEvery,
-		Estimator:   cfg.estimator,
-		ExploreFrac: cfg.exploreFrac,
-		FloorLambda: cfg.floorLambda,
-		Fault: httpmirror.FaultPolicy{
-			BreakerThreshold: cfg.breakerAfter,
-			BreakerCooldown:  cfg.breakerCooldown,
-			QuarantineAfter:  cfg.quarantineAfter,
-			ProbeEvery:       cfg.probeEvery,
-		},
-		Overload: resilience.LimiterConfig{
-			MaxInflight:   cfg.maxInflight,
-			MinInflight:   cfg.minInflight,
-			TargetLatency: cfg.shedTargetLatency,
-		},
-		Degrade: resilience.ModeConfig{
-			PersistFailureThreshold: cfg.persistDegradeAfter,
-		},
-		ServeFaultLatency: cfg.serveFaultLatency,
-		Seed:              cfg.seed,
-		Persist:           storer,
-		SnapshotEvery:     cfg.snapshotEvery,
-		Metrics:           reg,
-		Logger:            logger,
-	})
+	mcfg := mirrorConfig(cfg, planCfg)
+	mcfg.Upstream, mcfg.Persist, mcfg.Metrics, mcfg.Logger = upstream, storer, reg, logger
+	m, err := httpmirror.New(ctx, mcfg)
 	if err != nil {
 		return err
 	}

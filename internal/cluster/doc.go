@@ -6,6 +6,6 @@
 //
 // The paper's surprising result is that very few iterations on few
 // partitions beat many plain partitions; the assignment step is
-// parallelized so the big-case experiments (hundreds of thousands of
-// elements) run in seconds.
+// sharded with internal/parallel so the big-case experiments (hundreds
+// of thousands of elements) run in seconds.
 package cluster

@@ -2,10 +2,9 @@ package cluster
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"freshen/internal/freshness"
+	"freshen/internal/parallel"
 	"freshen/internal/partition"
 )
 
@@ -17,8 +16,6 @@ type Config struct {
 	// IncludeSize adds a normalized size dimension to the feature
 	// space for variable-size mirrors.
 	IncludeSize bool
-	// Parallelism bounds the assignment workers; 0 means GOMAXPROCS.
-	Parallelism int
 }
 
 // Stats reports what the refinement did.
@@ -99,17 +96,9 @@ func Refine(elems []freshness.Element, seed partition.Partitioning, cfg Config) 
 	counts := make([]int, k)
 	stats := Stats{}
 
-	workers := cfg.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-
 	for it := 0; it < cfg.Iterations; it++ {
 		computeCentroids(features, assign, centroids, counts, dims, k)
-		moves := assignNearest(features, centroids, counts, assign, dims, k, workers)
+		moves := assignNearest(features, centroids, assign, dims, k)
 		stats.Iterations++
 		stats.Moves = append(stats.Moves, moves)
 		stats.Inertia = append(stats.Inertia, inertia(features, assign, centroids, dims))
@@ -169,52 +158,31 @@ func computeCentroids(features []float64, assign []int, centroids []float64, cou
 }
 
 // assignNearest moves every element to its nearest centroid and
-// returns the number of reassignments. Elements are sharded across
-// workers; each worker writes a disjoint range of assign.
-func assignNearest(features, centroids []float64, counts []int, assign []int, dims, k, workers int) int {
-	n := len(assign)
-	movesPer := make([]int, workers)
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			moves := 0
-			for i := lo; i < hi; i++ {
-				fbase := i * dims
-				best, bestDist := assign[i], -1.0
-				for g := 0; g < k; g++ {
-					base := g * dims
-					var dist float64
-					for d := 0; d < dims; d++ {
-						diff := features[fbase+d] - centroids[base+d]
-						dist += diff * diff
-					}
-					if bestDist < 0 || dist < bestDist {
-						best, bestDist = g, dist
-					}
+// returns the number of reassignments. Each element costs k·dims
+// distance terms, so parallel.SumCost forks once n·k·dims reaches
+// parallel.Threshold; each shard writes a disjoint range of assign.
+func assignNearest(features, centroids []float64, assign []int, dims, k int) int {
+	return parallel.SumCost(len(assign), k*dims, func(lo, hi int) int {
+		moves := 0
+		for i := lo; i < hi; i++ {
+			fbase := i * dims
+			best, bestDist := assign[i], -1.0
+			for g := 0; g < k; g++ {
+				base := g * dims
+				var dist float64
+				for d := 0; d < dims; d++ {
+					diff := features[fbase+d] - centroids[base+d]
+					dist += diff * diff
 				}
-				if best != assign[i] {
-					assign[i] = best
-					moves++
+				if bestDist < 0 || dist < bestDist {
+					best, bestDist = g, dist
 				}
 			}
-			movesPer[w] = moves
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	total := 0
-	for _, m := range movesPer {
-		total += m
-	}
-	return total
+			if best != assign[i] {
+				assign[i] = best
+				moves++
+			}
+		}
+		return moves
+	})
 }

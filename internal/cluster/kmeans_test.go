@@ -1,14 +1,17 @@
 package cluster
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"freshen/internal/freshness"
+	"freshen/internal/parallel"
 	"freshen/internal/partition"
 	"freshen/internal/workload"
 )
 
-func testElements(t *testing.T, n int, theta float64, seed int64) []freshness.Element {
+func testElements(t testing.TB, n int, theta float64, seed int64) []freshness.Element {
 	t.Helper()
 	spec := workload.TableTwo()
 	spec.NumObjects = n
@@ -157,19 +160,29 @@ func TestRefineConvergesAndStopsEarly(t *testing.T) {
 	}
 }
 
+// TestRefineDeterministicAcrossParallelism checks that the grouping
+// does not depend on how the assignment step is sharded: n is twice
+// parallel.Threshold, so GOMAXPROCS 4 forks where GOMAXPROCS 1 does not.
 func TestRefineDeterministicAcrossParallelism(t *testing.T) {
-	elems := testElements(t, 400, 1.2, 5)
+	elems := testElements(t, 2*parallel.Threshold, 1.2, 5)
 	seed, err := partition.Build(elems, partition.KeyP, 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _, err := Refine(elems, seed, Config{Iterations: 5, Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
+	refineWith := func(procs int) (partition.Partitioning, Stats) {
+		t.Helper()
+		old := runtime.GOMAXPROCS(procs)
+		defer runtime.GOMAXPROCS(old)
+		got, stats, err := Refine(elems, seed, Config{Iterations: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got, stats
 	}
-	b, _, err := Refine(elems, seed, Config{Iterations: 5, Parallelism: 8})
-	if err != nil {
-		t.Fatal(err)
+	a, stats := refineWith(1)
+	b, _ := refineWith(4)
+	if stats.Moves[0] == 0 {
+		t.Fatal("seed grouping already converged; the comparison exercises nothing")
 	}
 	for g := range a.Groups {
 		if len(a.Groups[g]) != len(b.Groups[g]) {
@@ -223,5 +236,29 @@ func TestRefineValidation(t *testing.T) {
 	bad := partition.Partitioning{Groups: [][]int{{0}}}
 	if _, _, err := Refine(elems, bad, Config{}); err == nil {
 		t.Error("corrupt seed must fail")
+	}
+}
+
+// BenchmarkRefine times five Lloyd iterations from a KeyPF seed at
+// the sizes Figures 8 and 9 and freshend -strategy clustered use,
+// either side of where assignNearest starts forking (n·k·2 ≥
+// parallel.Threshold).
+func BenchmarkRefine(b *testing.B) {
+	for _, n := range []int{400, 1000, 10000, 16383} {
+		elems := testElements(b, n, 1.0, 1)
+		for _, k := range []int{20, 100} {
+			seed, err := partition.Build(elems, partition.KeyPF, k, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Run(fmt.Sprintf("n=%d/k=%d", n, k), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, _, err := Refine(elems, seed, Config{Iterations: 5}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }

@@ -1,7 +1,7 @@
 // Package parallel holds the deterministic fork-join helpers the
-// solver and the freshness metrics share: [0, n) is cut into one
-// contiguous shard per GOMAXPROCS worker, and small inputs stay on
-// the calling goroutine.
+// solver engine, the k-means refinement and the freshness metrics
+// share: [0, n) is cut into one contiguous shard per GOMAXPROCS
+// worker, and small inputs stay on the calling goroutine.
 package parallel
 
 import (
@@ -11,22 +11,37 @@ import (
 
 // Threshold is the element count below which work stays on the
 // calling goroutine: under it, goroutine hand-off costs more than the
-// arithmetic saved.
+// arithmetic saved. It assumes about one inner-loop step (one
+// inversion, one multiply-add) per element; SumCost scales it for
+// heavier elements.
 const Threshold = 16384
+
+// Forks reports whether Sum and For split [0, n) across goroutines.
+// A caller whose fn is a closure can check it first and run inline
+// without building the closure, which escapes to the shard goroutines
+// and so costs an allocation.
+func Forks(n int) bool { return n >= Threshold && runtime.GOMAXPROCS(0) >= 2 }
 
 // Sum evaluates fn over contiguous shards of [0, n) — in parallel when
 // n is large enough — and returns the shard sums added in shard order.
 // The fixed chunking and ordered reduction make the result
 // deterministic for a given n and GOMAXPROCS regardless of goroutine
 // scheduling.
-func Sum(n int, fn func(lo, hi int) float64) float64 {
-	workers := runtime.GOMAXPROCS(0)
-	if n < Threshold || workers < 2 {
+func Sum[T int | float64](n int, fn func(lo, hi int) T) T {
+	return SumCost(n, 1, fn)
+}
+
+// SumCost is Sum for elements that each take about cost inner-loop
+// steps: it forks once n·cost reaches Threshold, and cuts and adds
+// the shards exactly as Sum does.
+func SumCost[T int | float64](n, cost int, fn func(lo, hi int) T) T {
+	if !Forks(n * cost) {
 		return fn(0, n)
 	}
-	partial := make([]float64, workers)
+	workers := runtime.GOMAXPROCS(0)
+	partial := make([]T, workers)
 	shards(n, workers, func(w, lo, hi int) { partial[w] = fn(lo, hi) })
-	var total float64
+	var total T
 	for _, t := range partial {
 		total += t
 	}
@@ -37,12 +52,11 @@ func Sum(n int, fn func(lo, hi int) float64) float64 {
 // when n is large. Shards are disjoint, so fn may write to per-index
 // slots without synchronization.
 func For(n int, fn func(lo, hi int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if n < Threshold || workers < 2 {
+	if !Forks(n) {
 		fn(0, n)
 		return
 	}
-	shards(n, workers, func(_, lo, hi int) { fn(lo, hi) })
+	shards(n, runtime.GOMAXPROCS(0), func(_, lo, hi int) { fn(lo, hi) })
 }
 
 // shards runs fn(w, lo, hi) for each non-empty shard w of [0, n) on

@@ -24,7 +24,7 @@ func MinimizeAge(p Problem) (Solution, error) {
 // MinimizeAge solves the age program on this engine. The age marginal
 // is unbounded at f = 0, so every active element is always funded —
 // cutoff pruning never fires — but the engine still provides the
-// warm-started inversions, worker pool and allocation-free bisection.
+// warm-started inversions, secant search and sharded sweeps.
 func (e *Engine) MinimizeAge(p Problem) (Solution, error) {
 	if err := p.Validate(); err != nil {
 		return Solution{}, err

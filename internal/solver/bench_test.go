@@ -28,8 +28,10 @@ func benchProblem(n int, pol freshness.Policy, pareto bool) Problem {
 
 // BenchmarkWaterFill measures the engine on Pareto-sized workloads at
 // the paper's scales, for both synchronization policies. Run with
-// -benchmem: allocs/op should stay flat in n (the Freqs slice plus
-// per-solve pool setup — nothing per bisection iteration).
+// -benchmem: a serial search allocates only the Freqs slice and solve
+// bookkeeping; each forked sweep (a funded prefix of
+// parallel.Threshold elements or more, GOMAXPROCS ≥ 2) adds a few
+// objects.
 func BenchmarkWaterFill(b *testing.B) {
 	policies := []struct {
 		name string
@@ -57,7 +59,7 @@ func BenchmarkWaterFill(b *testing.B) {
 
 // BenchmarkReferenceWaterFill is the pre-engine baseline on the same
 // workloads; the ratio against BenchmarkWaterFill is the speedup the
-// engine's pruning, warm starts and persistent workers buy.
+// engine's pruning, secant search and warm starts buy.
 func BenchmarkReferenceWaterFill(b *testing.B) {
 	policies := []struct {
 		name string

@@ -2,7 +2,6 @@ package solver
 
 import (
 	"math"
-	"runtime"
 	"slices"
 	"sync"
 	"time"
@@ -30,20 +29,16 @@ import (
 //     once the root localizes, so policies implementing
 //     freshness.WarmStartInverter re-converge in 1–2 exp evaluations
 //     instead of a cold solve's handful.
-//   - A persistent worker pool: workers are spawned once per solve
-//     (not once per usage evaluation) and write into engine-owned
-//     scratch, so the search loop allocates nothing. Partial sums
-//     reduce in fixed shard order, keeping results deterministic for a
-//     given GOMAXPROCS regardless of goroutine scheduling.
+//   - Sharded sweeps: a funded prefix of parallel.Threshold elements
+//     or more is inverted with parallel.Sum, whose fixed shards and
+//     in-order reduction keep results deterministic for a given
+//     GOMAXPROCS regardless of goroutine scheduling. Sweeps that do
+//     not fork stay on the calling goroutine and allocate nothing.
 //
 // The search runs to full multiplier resolution (bracket width
 // 1e-15·μ) rather than stopping at a loose bandwidth tolerance: the
 // extra sweeps are cheap once warm-started, and the tight root makes
 // results reproducible to ~1e-12 against a from-scratch solve.
-
-// engineParallelThreshold is the active-element count below which a
-// solve stays on the calling goroutine.
-const engineParallelThreshold = parallel.Threshold
 
 // bracketHalvings caps the μ-bracketing fallback loops.
 const bracketHalvings = 4096
@@ -150,32 +145,16 @@ func invertDecreasingMarginal(m func(float64) float64, target, hint float64) flo
 }
 
 // Engine is a reusable solve context. It owns the sorted active-set
-// array, warm-start state, worker pool and scratch buffers, so
-// repeated solves (capacity planning, hierarchical sub-solves, the
-// partition heuristics) allocate almost nothing after the first call.
+// array, warm-start state and scratch buffers, so repeated solves
+// (capacity planning, hierarchical sub-solves, the partition
+// heuristics) allocate almost nothing after the first call.
 // An Engine is NOT safe for concurrent use; the package-level solver
 // entry points draw engines from a sync.Pool so concurrent callers
 // never share one.
 type Engine struct {
-	act     []activeElem
-	partial []float64
-	heap    []int
-
-	// Worker pool state, live only while a solve runs. Each worker has
-	// its own wake channel: a shared channel would let one worker absorb
-	// two tokens in a round while another sleeps through it, leaving the
-	// sleeper's shard stale.
-	curve    marginalCurve
-	workers  int
-	wake     []chan struct{}
-	done     sync.WaitGroup
-	jobMu    float64
-	jobK     int
-	jobChunk int
-
-	// maxWorkers caps pool size; 0 means GOMAXPROCS. Tests use it to
-	// compare serial and parallel solves on the same machine.
-	maxWorkers int
+	act   []activeElem
+	heap  []int
+	curve marginalCurve // the objective of the solve in progress
 }
 
 // NewEngine returns an empty solve context.
@@ -255,8 +234,6 @@ func (e *Engine) solveCurve(p Problem, curve marginalCurve, topUp bool) (Solutio
 	})
 
 	e.curve = curve
-	e.startWorkers()
-	defer e.stopWorkers()
 
 	// Bracket the multiplier. With finite cutoffs usage(muHi) = 0 < B
 	// by construction; unbounded curves grow muHi until feasible.
@@ -410,26 +387,14 @@ func (e *Engine) fundedTo(mu float64) int {
 
 // usage evaluates Σ sᵢ·fᵢ(μ) over the funded prefix, recording each
 // element's frequency and warm hint in place. Large prefixes are
-// sharded across the solve's worker pool; partial sums reduce in
-// worker order so the result is deterministic.
+// sharded with parallel.Sum. A sweep that would not fork returns
+// before the closure is built, so the serial search allocates nothing.
 func (e *Engine) usage(mu float64) float64 {
 	k := e.fundedTo(mu)
-	if e.workers <= 1 || k < engineParallelThreshold {
+	if !parallel.Forks(k) {
 		return e.invertRange(mu, 0, k)
 	}
-	e.jobMu = mu
-	e.jobK = k
-	e.jobChunk = (k + e.workers - 1) / e.workers
-	e.done.Add(e.workers)
-	for i := 0; i < e.workers; i++ {
-		e.wake[i] <- struct{}{}
-	}
-	e.done.Wait()
-	var total float64
-	for _, t := range e.partial[:e.workers] {
-		total += t
-	}
-	return total
+	return parallel.Sum(k, func(lo, hi int) float64 { return e.invertRange(mu, lo, hi) })
 }
 
 // invertRange inverts the marginal for active elements [lo, hi) at
@@ -443,58 +408,6 @@ func (e *Engine) invertRange(mu float64, lo, hi int) float64 {
 		total += a.size * f
 	}
 	return total
-}
-
-// startWorkers spawns the solve's worker pool once; usage() then only
-// passes tokens through a channel, so the bisection loop itself
-// allocates nothing.
-func (e *Engine) startWorkers() {
-	w := e.maxWorkers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if len(e.act) < engineParallelThreshold || w < 2 {
-		e.workers = 1
-		return
-	}
-	e.workers = w
-	if cap(e.partial) < w {
-		e.partial = make([]float64, w)
-	}
-	e.partial = e.partial[:w]
-	if cap(e.wake) < w {
-		e.wake = make([]chan struct{}, 0, w)
-	}
-	e.wake = e.wake[:0]
-	for i := 0; i < w; i++ {
-		ch := make(chan struct{}, 1)
-		e.wake = append(e.wake, ch)
-		go func(id int, ch chan struct{}) {
-			for range ch {
-				lo := id * e.jobChunk
-				hi := lo + e.jobChunk
-				if hi > e.jobK {
-					hi = e.jobK
-				}
-				var sum float64
-				if lo < hi {
-					sum = e.invertRange(e.jobMu, lo, hi)
-				}
-				e.partial[id] = sum
-				e.done.Done()
-			}
-		}(i, ch)
-	}
-}
-
-func (e *Engine) stopWorkers() {
-	if e.workers > 1 {
-		for _, ch := range e.wake {
-			close(ch)
-		}
-	}
-	e.workers = 0
-	e.curve = nil
 }
 
 // topUpResidual drains any unused budget sliver. The multiplier is

@@ -2,9 +2,11 @@ package solver
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"freshen/internal/freshness"
+	"freshen/internal/parallel"
 )
 
 // TestEngineDeterministicAcrossRuns checks the determinism guarantee:
@@ -14,10 +16,12 @@ import (
 // (A *reused* engine may differ in the last couple of ulps — carried
 // warm hints land each Newton solve on a slightly different root
 // within its 1e-15 tolerance — which TestEngineReuseMatchesFresh
-// bounds.) n exceeds the parallel threshold so the worker pool
-// actually runs, and `go test -race` exercises it.
+// bounds.) n exceeds the parallel threshold and GOMAXPROCS is 4, so
+// the sweeps actually fork, and `go test -race` exercises them.
 func TestEngineDeterministicAcrossRuns(t *testing.T) {
-	elems := parityWorkload(11, 2*engineParallelThreshold, true)
+	old := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(old)
+	elems := parityWorkload(11, 2*parallel.Threshold, true)
 	var total float64
 	for _, el := range elems {
 		total += el.Size
@@ -26,9 +30,7 @@ func TestEngineDeterministicAcrossRuns(t *testing.T) {
 
 	solve := func() Solution {
 		t.Helper()
-		e := NewEngine()
-		e.maxWorkers = 4
-		sol, err := e.WaterFill(p)
+		sol, err := NewEngine().WaterFill(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,27 +52,26 @@ func TestEngineDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-// TestEngineSerialParallelAgree compares a forced-serial solve against
-// a parallel one. Summation order differs between the two, so exact
-// bit-identity is not promised across worker counts — but the
-// schedules must agree far inside any tolerance downstream code uses.
+// TestEngineSerialParallelAgree compares a serial solve (GOMAXPROCS 1)
+// against a parallel one (GOMAXPROCS 8). Summation order differs
+// between the two, so exact bit-identity is not promised across worker
+// counts — but the schedules must agree far inside any tolerance
+// downstream code uses.
 func TestEngineSerialParallelAgree(t *testing.T) {
-	elems := parityWorkload(7, 2*engineParallelThreshold, false)
+	elems := parityWorkload(7, 2*parallel.Threshold, false)
 	p := Problem{Elements: elems, Bandwidth: float64(len(elems)) * 0.3}
 
-	serial := NewEngine()
-	serial.maxWorkers = 1
-	parallel := NewEngine()
-	parallel.maxWorkers = 8
-
-	s, err := serial.WaterFill(p)
-	if err != nil {
-		t.Fatal(err)
+	solveWith := func(procs int) Solution {
+		t.Helper()
+		old := runtime.GOMAXPROCS(procs)
+		defer runtime.GOMAXPROCS(old)
+		sol, err := NewEngine().WaterFill(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sol
 	}
-	pp, err := parallel.WaterFill(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, pp := solveWith(1), solveWith(8)
 	if d := math.Abs(s.Perceived - pp.Perceived); d > 1e-12*(1+s.Perceived) {
 		t.Errorf("Perceived differs serial vs parallel: %v vs %v", s.Perceived, pp.Perceived)
 	}
@@ -199,6 +200,30 @@ func TestEngineSolveAllocs(t *testing.T) {
 	// One alloc for Solution.Freqs; leave headroom for the runtime.
 	if allocs > 4 {
 		t.Errorf("warm solve allocates %v objects per run; want ≤ 4", allocs)
+	}
+}
+
+// TestEngineSerialSweepAllocs extends that property past
+// parallel.Threshold: at GOMAXPROCS 1 no sweep forks, so none may build
+// the fork's closure either. The bracketing sweep at the smallest
+// funding cutoff covers all active elements but one, so every solve
+// here has sweeps past the threshold.
+func TestEngineSerialSweepAllocs(t *testing.T) {
+	old := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(old)
+	elems := parityWorkload(3, 2*parallel.Threshold, false)
+	p := Problem{Elements: elems, Bandwidth: float64(len(elems)) * 0.3}
+	e := NewEngine()
+	if _, err := e.WaterFill(p); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := e.WaterFill(p); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 4 {
+		t.Errorf("warm serial solve allocates %v objects per run; want ≤ 4", allocs)
 	}
 }
 
